@@ -33,6 +33,7 @@
 //! hosts, no floats anywhere. Queries are small (≤ a dozen scans), so
 //! exactness is free.
 
+use cnb_core::prelude::PlanInfo;
 use cnb_ir::hypergraph::{prefix_hypergraph, query_hypergraph, ExecStrategy};
 use cnb_ir::prelude::{PhysicalSpec, Query, Range, Schema};
 use cnb_workloads::workload::{AgmExpectation, Workload};
@@ -229,24 +230,29 @@ pub fn plan_agm_wcoj(
     })
 }
 
-/// Certifies every backchase-emitted plan of one workload.
-pub fn certify_workload(w: &dyn Workload) -> Result<WorkloadAgm, String> {
+/// Certifies the backchase-emitted `plans` of one workload and checks the
+/// verdict against the workload's declared expectation — the one place
+/// that check lives. Callers pass the plans they already optimized, so
+/// each workload is optimized once per analysis run.
+pub fn certify_workload(w: &dyn Workload, plans: &[PlanInfo]) -> Result<WorkloadAgm, String> {
+    let name = w.name();
     let schema = w.schema();
-    let query = w.query();
     let (bound, bound_cover) =
-        query_bound(&schema, &query).map_err(|e| format!("{}: query bound: {e}", w.name()))?;
-    let result = w.optimize();
-    if result.plans.is_empty() {
-        return Err(format!("{}: optimizer emitted no plans", w.name()));
+        query_bound(&schema, &w.query()).map_err(|e| format!("{name}: query bound: {e}"))?;
+    if plans.is_empty() {
+        return Err(format!("{name}: optimizer emitted no plans"));
     }
-    let mut plans = Vec::with_capacity(result.plans.len());
-    for (i, p) in result.plans.iter().enumerate() {
-        let agm = match p.strategy {
-            ExecStrategy::LeftDeep => plan_agm(&schema, &p.query, i, bound),
-            ExecStrategy::Wcoj => plan_agm_wcoj(&schema, &p.query, i, bound),
-        };
-        plans.push(agm.map_err(|e| format!("{}: plan {i}: {e}", w.name()))?);
-    }
+    let plans = plans
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            match p.strategy {
+                ExecStrategy::LeftDeep => plan_agm(&schema, &p.query, i, bound),
+                ExecStrategy::Wcoj => plan_agm_wcoj(&schema, &p.query, i, bound),
+            }
+            .map_err(|e| format!("{name}: plan {i}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let within = plans.iter().filter(|p| p.within).count();
     let base_ld_within = plans
         .iter()
@@ -265,33 +271,30 @@ pub fn certify_workload(w: &dyn Workload) -> Result<WorkloadAgm, String> {
     } else {
         Verdict::WcojNeeded
     };
+    let expected = w.expectations().agm;
+    if !verdict.matches(expected) {
+        return Err(format!(
+            "{name}: AGM verdict {} contradicts the declared expectation {expected:?}",
+            verdict.name()
+        ));
+    }
     Ok(WorkloadAgm {
-        name: w.name().to_string(),
+        name: name.to_string(),
         bound,
         bound_cover,
         plans,
         verdict,
-        expected: w.expectations().agm,
+        expected,
     })
 }
 
-/// Certifies the whole [`cnb_workloads::suite`], failing on any workload
-/// whose verdict contradicts its declared expectation.
+/// Optimizes and certifies the whole [`cnb_workloads::suite`], failing on
+/// any workload whose verdict contradicts its declared expectation.
 pub fn certify_suite() -> Result<Vec<WorkloadAgm>, String> {
-    let mut out = Vec::new();
-    for w in cnb_workloads::suite() {
-        let cert = certify_workload(w.as_ref())?;
-        if !cert.verdict.matches(cert.expected) {
-            return Err(format!(
-                "{}: AGM verdict {} contradicts the declared expectation {:?}",
-                cert.name,
-                cert.verdict.name(),
-                cert.expected
-            ));
-        }
-        out.push(cert);
-    }
-    Ok(out)
+    cnb_workloads::suite()
+        .iter()
+        .map(|w| certify_workload(w.as_ref(), &w.optimize().plans))
+        .collect()
 }
 
 /// A query *shape* judged on its declared binding order (no optimizer):
@@ -358,7 +361,8 @@ mod tests {
     /// re-verifiable full-query cover on the twin.
     #[test]
     fn ec5_triangle_certifies_wcoj_closed() {
-        let cert = certify_workload(&Ec5::triangle()).unwrap();
+        let w = Ec5::triangle();
+        let cert = certify_workload(&w, &w.optimize().plans).unwrap();
         assert_eq!(cert.bound, Rat::new(3, 2));
         assert_eq!(cert.verdict, Verdict::WcojClosed);
         assert!(cert.verdict.matches(cert.expected));
@@ -382,7 +386,8 @@ mod tests {
     /// emitted and the verdict stays `certified`.
     #[test]
     fn ec5_four_cycle_stays_certified() {
-        let cert = certify_workload(&Ec5::four_cycle()).unwrap();
+        let w = Ec5::four_cycle();
+        let cert = certify_workload(&w, &w.optimize().plans).unwrap();
         assert_eq!(cert.verdict, Verdict::Certified);
         assert!(cert.plans.iter().all(|p| !p.wcoj), "no gap, no twin");
     }

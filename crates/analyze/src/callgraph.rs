@@ -20,7 +20,7 @@
 //!
 //! Over-approximation (e.g. `.len(` pointing at every `len` method) only
 //! makes taint *more* eager, never lets it escape — acceptable for a deny
-//! lint with sanctioned sinks. Turbofish call sites are edges too: a
+//! pass whose sanctioned sites are annotated. Turbofish call sites are edges too: a
 //! fn-side turbofish (`name::<T>(`) is skipped between the name and the
 //! argument list, and a type-side turbofish (`Type::<T>::method(`) is
 //! walked back over so the prefix resolves to `Type`.

@@ -5,20 +5,18 @@
 //! of scraping exit text. The writer is hand-rolled (the workspace is
 //! dependency-free by policy); object keys are emitted in fixed source
 //! order and every list is sorted upstream, so two runs over the same tree
-//! produce byte-identical documents — the determinism gate diffs them.
+//! produce byte-identical documents — the `cnb-analyze` tier of
+//! `scripts/check.sh` writes the report twice and `cmp`s the two files.
 
 use std::io;
 use std::path::Path;
 
-use crate::agm::{certify_suite, shape_report, ShapeAgm, WorkloadAgm};
-use crate::lint::{lint_workspace, LintViolation};
+use crate::agm::{shape_report, ShapeAgm, WorkloadAgm};
 use crate::suite::validate_suite;
 use crate::taint::{taint_workspace, TaintFinding};
 
 /// Everything one `cnb-analyze all` run produced.
 pub struct AnalysisReport {
-    /// Textual lint violations (empty when clean).
-    pub lint: Vec<LintViolation>,
     /// Interprocedural taint findings (empty when clean).
     pub taint: Vec<TaintFinding>,
     /// Per-workload validation report lines, or the first failure.
@@ -31,30 +29,13 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// True when every prong is clean.
     pub fn ok(&self) -> bool {
-        self.lint.is_empty() && self.taint.is_empty() && self.validate.is_ok() && self.agm.is_ok()
+        self.taint.is_empty() && self.validate.is_ok() && self.agm.is_ok()
     }
 
     /// The full report as one stable-field-order JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"version\": 1,\n");
-        // lint
-        s.push_str("  \"lint\": {\"count\": ");
-        s.push_str(&self.lint.len().to_string());
-        s.push_str(", \"violations\": [");
-        for (i, v) in self.lint.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"snippet\": {}}}",
-                json_str(&v.file),
-                v.line,
-                json_str(v.rule),
-                json_str(&v.snippet)
-            ));
-        }
-        s.push_str("]},\n");
+        s.push_str("{\n  \"version\": 2,\n");
         // taint
         s.push_str("  \"taint\": {\"count\": ");
         s.push_str(&self.taint.len().to_string());
@@ -191,12 +172,20 @@ fn json_str(s: &str) -> String {
 /// Runs every prong against the workspace under `root` and collects one
 /// report. IO errors (unreadable tree) surface as `Err`; analysis
 /// *findings* do not — they land in the report with `ok() == false`.
+///
+/// The suite is optimized once: the AGM section reports the certificates
+/// [`validate_suite`] computed on the plans it validated, so a validation
+/// failure fails the AGM section with the same error.
 pub fn run_all(root: &Path) -> io::Result<AnalysisReport> {
+    let taint = taint_workspace(root)?;
+    let (validate, agm) = match validate_suite() {
+        Ok((lines, certs)) => (Ok(lines), shape_report().map(|s| (certs, s))),
+        Err(e) => (Err(e.clone()), Err(e)),
+    };
     Ok(AnalysisReport {
-        lint: lint_workspace(root)?,
-        taint: taint_workspace(root)?,
-        validate: validate_suite(),
-        agm: certify_suite().and_then(|w| shape_report().map(|s| (w, s))),
+        taint,
+        validate,
+        agm,
     })
 }
 
@@ -213,14 +202,13 @@ mod tests {
     #[test]
     fn empty_report_is_ok_and_parses_shapewise() {
         let r = AnalysisReport {
-            lint: vec![],
             taint: vec![],
             validate: Ok(vec!["EC1: valid".to_string()]),
             agm: Ok((vec![], vec![])),
         };
         assert!(r.ok());
         let j = r.to_json();
-        assert!(j.contains("\"version\": 1"), "{j}");
+        assert!(j.contains("\"version\": 2"), "{j}");
         assert!(j.contains("\"ok\": true"), "{j}");
         assert!(j.ends_with("}\n"), "{j}");
     }
@@ -228,13 +216,14 @@ mod tests {
     #[test]
     fn findings_flip_ok_to_false() {
         let r = AnalysisReport {
-            lint: vec![crate::lint::LintViolation {
+            taint: vec![TaintFinding {
                 file: "x.rs".into(),
                 line: 1,
                 rule: "wall-clock",
+                function: "f".into(),
+                path: vec!["f".into()],
                 snippet: "bad".into(),
             }],
-            taint: vec![],
             validate: Ok(vec![]),
             agm: Ok((vec![], vec![])),
         };

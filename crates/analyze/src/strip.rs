@@ -1,13 +1,12 @@
 //! Lexical front end for the source-level analyses: comment and string
 //! stripping that understands real Rust tokens.
 //!
-//! The original lint stripped per physical line (`split("//")`), which
-//! misses two whole classes of input: content *after* a `*/` on a line
-//! inside a block comment was treated as comment, and needles inside raw
-//! string literals (`r#"…"#`) false-positived as code. This module walks
-//! the source once with a small state machine — nested `/* */`, line
-//! comments, plain/byte/raw strings with arbitrary `#` counts, char
-//! literals vs. lifetimes — and produces a per-line split of *code text*
+//! Stripping per physical line (`split("//")`) misses two whole classes
+//! of input: content *after* a `*/` on a line inside a block comment reads
+//! as comment, and needles inside raw string literals (`r#"…"#`)
+//! false-positive as code. This module walks the source once with a small
+//! state machine — nested `/* */`, line comments, plain/byte/raw strings
+//! with arbitrary `#` counts, char literals vs. lifetimes — and produces a per-line split of *code text*
 //! (string/char contents blanked, comments removed) and *comment text*
 //! (where `cnb-lint: allow(...)` annotations live). Both sides preserve
 //! line numbers exactly, so findings point at real source lines.

@@ -9,52 +9,47 @@
 //! that validates here may still be wrong, but a plan that fails here
 //! would have been wrong at runtime. Each workload's plans are also run
 //! through the AGM certifier ([`crate::agm`]) and the computed verdict
-//! checked against the family's declared [`AgmExpectation`].
+//! checked against the family's declared [`AgmExpectation`]; the
+//! certificates are returned so `cnb-analyze all` reports them without
+//! optimizing again.
 //!
 //! [`AgmExpectation`]: cnb_workloads::workload::AgmExpectation
 
 use cnb_workloads::suite;
 
-use crate::agm::certify_workload;
+use crate::agm::{certify_workload, WorkloadAgm};
 use crate::validate::{validate_plan, validate_query, validate_schema, ValidateError};
 
 /// Validates every suite workload and every plan its optimization emits,
-/// then certifies the plans against the workload's AGM bound. Returns one
-/// human-readable report line per workload, or the first failure (wrapped
-/// with the workload and plan it came from).
-pub fn validate_suite() -> Result<Vec<String>, String> {
+/// then certifies the same plans against the workload's AGM bound — one
+/// optimization per workload. Returns one human-readable report line per
+/// workload plus the certificates, or the first failure (wrapped with the
+/// workload and plan it came from).
+pub fn validate_suite() -> Result<(Vec<String>, Vec<WorkloadAgm>), String> {
     let mut report = Vec::new();
+    let mut certs = Vec::new();
     for w in suite() {
         let name = w.name();
         let schema = w.schema();
         validate_schema(&schema).map_err(|e| format!("{name}: schema: {e}"))?;
         let q = w.query();
         validate_query(&schema, &q).map_err(|e| format!("{name}: query: {e}"))?;
-        let result = w.optimize();
-        if result.plans.is_empty() {
-            return Err(format!("{name}: optimizer emitted no plans"));
-        }
-        for (i, p) in result.plans.iter().enumerate() {
+        let plans = w.optimize().plans;
+        for (i, p) in plans.iter().enumerate() {
             validate_plan(&schema, &p.query).map_err(|e: ValidateError| {
                 format!("{name}: plan {i} invalid: {e}\n{}", p.query)
             })?;
         }
-        let cert = certify_workload(w.as_ref())?;
-        if !cert.verdict.matches(cert.expected) {
-            return Err(format!(
-                "{name}: AGM verdict {} contradicts the declared expectation {:?}",
-                cert.verdict.name(),
-                cert.expected
-            ));
-        }
+        let cert = certify_workload(w.as_ref(), &plans)?;
         report.push(format!(
             "{name}: schema + query + {} plans valid; agm {} (bound {})",
-            result.plans.len(),
+            plans.len(),
             cert.verdict.name(),
             cert.bound
         ));
+        certs.push(cert);
     }
-    Ok(report)
+    Ok((report, certs))
 }
 
 #[cfg(test)]
@@ -65,8 +60,9 @@ mod tests {
     /// and every backchase-emitted plan validates.
     #[test]
     fn every_suite_workload_and_plan_validates() {
-        let report = validate_suite().unwrap_or_else(|e| panic!("{e}"));
+        let (report, certs) = validate_suite().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(report.len(), 5, "{report:?}");
+        assert_eq!(certs.len(), 5);
         for line in &report {
             assert!(line.contains("valid"), "{line}");
         }

@@ -189,7 +189,8 @@ fn terminating_variants_of_the_corpus_pass() {
 
 // ---------------------------------------------------------------------------
 // Interprocedural taint: one seeded violation per rule, with the needles
-// assembled by concatenation so this corpus never trips the lint itself.
+// assembled by concatenation so this corpus never trips the analysis
+// itself.
 // ---------------------------------------------------------------------------
 
 fn taint_of(files: &[(&str, String)]) -> Vec<TaintFinding> {
@@ -272,15 +273,42 @@ fn seeded_random_state_is_flagged() {
 
 #[test]
 fn seeded_env_read_is_flagged_outside_declared_sinks() {
-    let env = format!("std{}env{}var(\"KNOB\")", "::", "::");
-    let src = format!("fn knob() -> bool {{\n    {env}.is_ok()\n}}\n");
-    let found = taint_of(&[("seed.rs", src)]);
+    // The declared sinks are the annotated reads: `resolve_threads` in
+    // parallel.rs is sanctioned by its line-scoped allow, and the same
+    // read without the comment is flagged.
+    let env = format!("std{}env{}var(\"CNB_THREADS\")", "::", "::");
+    let read = |note: &str| {
+        format!(
+            "pub fn resolve_threads(n: usize) -> usize {{\n    let e = {env};{note}\n    n\n}}\n"
+        )
+    };
+    let sanctioned = read(" // cnb-lint: allow(std-env)");
+    let found = taint_of(&[("crates/core/src/parallel.rs", sanctioned)]);
+    assert!(found.is_empty(), "{found:?}");
+    let found = taint_of(&[("crates/core/src/parallel.rs", read(""))]);
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].rule, "std-env");
-    // The same read inside the declared sink stays sanctioned.
-    let sink =
-        format!("pub fn resolve_threads(n: usize) -> usize {{\n    let e = {env};\n    n\n}}\n");
-    assert!(taint_of(&[("crates/core/src/parallel.rs", sink)]).is_empty());
+    assert_eq!(found[0].line, 2);
+    assert_eq!(found[0].function, "resolve_threads");
+}
+
+#[test]
+fn seeded_std_hash_map_is_flagged_at_the_helper_and_its_caller() {
+    let src = format!(
+        "fn distinct(xs: &[u32]) -> usize {{\n    let s: std::collections::{}Set<u32> = xs.iter().copied().collect();\n    s.len()\n}}\n\nfn rank_plans(xs: &[u32]) -> usize {{\n    distinct(xs)\n}}\n",
+        "Hash"
+    );
+    let found = taint_of(&[("seed.rs", src)]);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found
+        .iter()
+        .any(|f| f.rule == "std-hash-map" && f.function == "distinct" && f.line == 2));
+    let caller = found
+        .iter()
+        .find(|f| f.function == "rank_plans")
+        .expect("caller flagged");
+    assert_eq!(caller.rule, "std-hash-map");
+    assert_eq!(caller.path, vec!["rank_plans", "distinct"]);
 }
 
 #[test]

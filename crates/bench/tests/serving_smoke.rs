@@ -18,6 +18,23 @@ use cnb_bench::serving::run_suite;
 use cnb_core::prelude::chase_and_backchase_runs;
 use cnb_engine::PlanServer;
 use cnb_workloads::{suite, DataScale, Workload};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The harness runs tests in parallel, and two tests here measure
+/// something another test's work disturbs: the warm-hit audit reads the
+/// process-wide run counter, which any cold miss moves, and the open-loop
+/// test sizes its offered load from a capacity it measures on the wall
+/// clock. Those two hold this lock exclusively; every other test holds it
+/// shared.
+static QUIET: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    QUIET.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    QUIET.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn server_for(w: &dyn Workload) -> PlanServer {
     PlanServer::new(w.optimizer(), cnb_bench::config(w.expectations().strategy))
@@ -27,6 +44,7 @@ fn server_for(w: &dyn Workload) -> PlanServer {
 /// 1/2/4/8 workers returns byte-identical row sets in request order.
 #[test]
 fn row_sets_are_identical_at_every_thread_count() {
+    let _quiet = shared();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
@@ -60,6 +78,7 @@ fn row_sets_are_identical_at_every_thread_count() {
 /// chase & backchase run counter does not move, for any family.
 #[test]
 fn warm_hits_answer_without_chase_and_backchase() {
+    let _quiet = exclusive();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
@@ -92,6 +111,7 @@ fn warm_hits_answer_without_chase_and_backchase() {
 /// theory allows).
 #[test]
 fn point_picks_partition_the_central_query() {
+    let _quiet = shared();
     let scale = DataScale::new(90, 7);
     // Each family's serving pick domain (the modulus its `serving_query`
     // applies at this scale; see the per-family impls).
@@ -149,6 +169,7 @@ fn point_picks_partition_the_central_query() {
 /// `cnb_analyze::validate_plan` (the harness panics on a finding).
 #[test]
 fn harness_smoke_runs_and_validates_served_plans() {
+    let _quiet = shared();
     let points = run_suite(DataScale::new(80, 7), 6, 2);
     let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
     assert_eq!(labels, ["EC1", "EC2", "EC3", "EC4", "EC5", "mix"]);
@@ -174,6 +195,7 @@ fn harness_smoke_runs_and_validates_served_plans() {
 /// pressure casualties, and light load serves nearly everything.
 #[test]
 fn open_loop_buckets_reconcile_and_pressure_shows_up() {
+    let _quiet = exclusive();
     use cnb_bench::serving::{run_open_loop, OpenLoopConfig};
     let scale = DataScale::new(80, 7);
     let cfg = OpenLoopConfig {

@@ -163,6 +163,7 @@ fn fresh_save_token() -> u64 {
 /// audit after every rollback — the debug-assert tier of `scripts/check.sh`.
 fn trail_check_enabled() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    // cnb-lint: allow(std-env)
     *ON.get_or_init(|| std::env::var_os("CNB_TRAIL_CHECK").is_some_and(|v| v != "0"))
 }
 

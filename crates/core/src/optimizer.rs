@@ -124,17 +124,6 @@ pub struct OptimizeResult {
     pub chase_stats: ChaseStats,
 }
 
-impl OptimizeResult {
-    /// Time per generated plan (the paper's normalized §5.3.2 measure).
-    pub fn time_per_plan(&self) -> Duration {
-        if self.plans.is_empty() {
-            self.total_time
-        } else {
-            self.total_time / self.plans.len() as u32
-        }
-    }
-}
-
 /// The C&B optimizer for a fixed schema.
 pub struct Optimizer {
     schema: Schema,

@@ -30,7 +30,7 @@ pub const MAX_THREADS: usize = 64;
 /// [`std::thread::available_parallelism`]. The result is clamped to
 /// `1..=`[`MAX_THREADS`].
 pub fn resolve_threads(explicit: usize) -> usize {
-    let env = std::env::var("CNB_THREADS")
+    let env = std::env::var("CNB_THREADS") // cnb-lint: allow(std-env)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok());
     let available = std::thread::available_parallelism().map(|n| n.get()).ok();

@@ -222,7 +222,7 @@ struct Slot {
 }
 
 /// The plan cache: [`Fingerprint`] → [`CachedPlans`], with hit/miss/eviction
-/// accounting. Deterministic fxhash map per the workspace lint.
+/// accounting. Deterministic fxhash map per the workspace determinism gate.
 ///
 /// [`PlanCache::new`] is unbounded (the original behavior);
 /// [`PlanCache::bounded`] caps residency at a fixed number of shapes and

@@ -3,11 +3,12 @@
 //! Deadline decisions must be *typed and reproducible*: a test that wants a
 //! deterministic expiry schedule cannot depend on how fast the host happens
 //! to run. So serving logic never reads the wall clock directly — it asks a
-//! [`Clock`], and the `cnb-analyze` determinism lint enforces this by
-//! denying wall-clock reads in `crates/engine/src/serving.rs` and
-//! `crates/engine/src/pressure.rs` *even when annotated*: this module's
-//! [`WallClock`] is the single sanctioned wall-clock read of the serving
-//! path.
+//! [`Clock`], and the `cnb-analyze` taint pass enforces this with its
+//! `serving-clock` rule: wall-clock reads in `crates/engine/src/serving.rs`
+//! and `crates/engine/src/pressure.rs` are denied *even when annotated*,
+//! as is unannotated wall-clock taint reaching them through any helper.
+//! This module's [`WallClock`] is the single sanctioned wall-clock read of
+//! the serving path.
 //!
 //! Two implementations cover both worlds:
 //!

@@ -12,7 +12,8 @@
 //!
 //! Time never enters this module: deadlines are judged against the
 //! injectable [`crate::clock::Clock`] by the serving loop, and the
-//! determinism lint denies any wall-clock read here even if annotated.
+//! `cnb-analyze` taint pass denies any wall-clock read here even if
+//! annotated.
 
 use std::time::Duration;
 

@@ -24,7 +24,7 @@ echo "==> cargo build --release -q --bin record_backchase --bin record_serving" 
 cargo build --release -q --bin record_backchase --bin record_serving
 
 # Never record numbers for a workspace the static-analysis gate rejects:
-# a lint, taint, validation, or AGM-certification finding means the
+# a taint, validation, or AGM-certification finding means the
 # measured code is off-contract. The decision is read from the
 # machine-readable JSON report, not scraped from exit text — the same
 # artifact scripts/check.sh leaves behind.

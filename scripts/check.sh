@@ -37,18 +37,28 @@ tier "cargo build --release"
 cargo build --release
 
 # Static-analysis tier: every prong of cnb-analyze in one pass — the
-# determinism lint (denied std hash maps, wall-clock reads, thread-identity
-# leaks, stale allow-annotations), the interprocedural determinism taint
-# analysis over the workspace call graph, the semantic validator (every
-# suite workload's schema, constraints — including the weak-acyclicity
-# chase termination check — query, and every backchase-emitted plan), and
-# the AGM-bound plan certifier. Offline and fast, so it runs ahead of every
-# test tier: a finding here makes the test failures downstream redundant.
-# The machine-readable report lands in target/cnb-analyze.json either way.
-tier "cnb-analyze all (lint + taint + validate-suite + AGM certify)"
+# interprocedural determinism taint analysis over the workspace call graph
+# (denied std hash maps, RandomState, wall-clock, thread-identity and env
+# reads, each propagated to every caller; stale allow-annotations), the
+# semantic validator (every suite workload's schema, constraints —
+# including the weak-acyclicity chase termination check — query, and every
+# backchase-emitted plan), and the AGM-bound plan certifier on the same
+# plans. Offline and fast, so it runs ahead of every test tier: a finding
+# here makes the test failures downstream redundant. The machine-readable
+# report lands in target/cnb-analyze.json either way. Two runs over the
+# same tree must write byte-identical reports, so the tier runs `all` a
+# second time and `cmp`s the two files: a nondeterministic optimizer,
+# certifier or report writer fails here.
+tier "cnb-analyze all (taint + validate-suite + AGM certify)"
 analysis_json=target/cnb-analyze.json
 if ! cargo run --release -q -p cnb-analyze -- all . --json "$analysis_json"; then
   echo "error: cnb-analyze found problems — JSON findings at $analysis_json" >&2
+  exit 1
+fi
+analysis_rerun=target/cnb-analyze.rerun.json
+cargo run --release -q -p cnb-analyze -- all . --json "$analysis_rerun" >/dev/null
+if ! cmp "$analysis_json" "$analysis_rerun"; then
+  echo "error: two cnb-analyze runs wrote different reports — see $analysis_json and $analysis_rerun" >&2
   exit 1
 fi
 
