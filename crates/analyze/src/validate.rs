@@ -39,8 +39,8 @@ use std::fmt;
 
 use cnb_core::prelude::{CanonDb, FxHashMap, FxHashSet};
 use cnb_ir::prelude::{
-    check_constraint, check_query, Binding, Constraint, ConstraintKind, PathExpr, Query, Range,
-    Schema, Symbol, Var,
+    check_constraint, check_query, Constraint, ConstraintKind, PathExpr, Query, Range, Schema,
+    Symbol, Var,
 };
 
 /// A defect found by one of the validators. Variants are specific enough
@@ -702,22 +702,6 @@ pub fn validate_schema(schema: &Schema) -> Result<(), ValidateError> {
     validate_constraint_set(schema, &schema.all_constraints())
 }
 
-/// Convenience used by debug assertions: validity of a batch of bindings
-/// as a range-ordered prefix (re-exported so callers need not build a
-/// query).
-pub fn bindings_well_ordered(bindings: &[Binding]) -> bool {
-    let mut bound: FxHashSet<Var> = FxHashSet::default();
-    for b in bindings {
-        if b.range.vars().iter().any(|v| !bound.contains(v)) {
-            return false;
-        }
-        if !bound.insert(b.var) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,15 +841,5 @@ mod tests {
         s.add_constraint(a);
         s.add_constraint(b);
         validate_schema(&s).unwrap();
-    }
-
-    #[test]
-    fn bindings_well_ordered_helper() {
-        let mut q = Query::new();
-        let k = q.bind("k", Range::Dom(sym("M")));
-        q.bind("o", Range::Expr(PathExpr::from(k).lookup_in("M").dot("N")));
-        assert!(bindings_well_ordered(&q.from));
-        q.from.swap(0, 1);
-        assert!(!bindings_well_ordered(&q.from));
     }
 }

@@ -1,23 +1,18 @@
-//! Records the serving-path trajectory as JSON (written to
-//! `BENCH_serving.json` by `scripts/bench_record.sh`): closed-loop QPS and
-//! p50/p95/p99 per-request latency for each EC1–EC5 parameterized serving
-//! mix plus the pooled mix aggregate, at 1/2/4 executor threads, with the
-//! plan-cache hit rate per point. The measured window is warm (one cold
-//! C&B optimization per family plants the cache and is excluded from the
-//! window but included in the hit-rate denominator), so the numbers are
-//! the "preprocess once, answer many" regime the serving path exists for.
-//!
-//! The `open_loop` section is the pressure picture: per family, scheduled
-//! arrivals at 0.5/0.9/1.2× the measured capacity against a bounded
-//! backlog, with per-request deadlines and seeded fault injection —
+//! Records the serving path under pressure as JSON (written to
+//! `BENCH_serving.json` by `scripts/bench_record.sh`). The file holds one
+//! `open_loop` section: per EC1–EC5 family, scheduled arrivals at
+//! 0.5/0.9/1.2× the measured capacity against a bounded backlog, with
+//! per-request deadlines and seeded fault injection —
 //! shed/expired/faulted/retry counts and p50/p95/p99 sojourn per offered
-//! load (see `cnb_bench::serving::run_open_loop` for the measured-service
-//! + virtual-time-arrival methodology).
+//! load. `cnb_bench::serving::run_open_loop` documents the method:
+//! measured service times, arrivals replayed in virtual time. Warm serving
+//! latency and throughput, end to end, are the repo benchmark's `warm_mix`
+//! workload (`BENCHMARK.json`, `benchmark/README.md`).
 
 // Measuring wall time is this binary's job (see clippy.toml).
 #![allow(clippy::disallowed_methods)]
 
-use cnb_bench::serving::{run_open_loop_suite, run_suite, OpenLoopConfig, ServingPoint};
+use cnb_bench::serving::{run_open_loop_suite, OpenLoopConfig};
 use cnb_workloads::DataScale;
 
 fn main() {
@@ -26,11 +21,12 @@ fn main() {
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(200);
-    let sweep = [1usize, 2, 4];
-    let mut points: Vec<ServingPoint> = Vec::new();
-    for threads in sweep {
-        points.extend(run_suite(scale, requests, threads));
-    }
+    let open_cfg = OpenLoopConfig {
+        requests,
+        ..OpenLoopConfig::default()
+    };
+    let open_threads = 4usize;
+    let open_points = run_open_loop_suite(scale, open_threads, &open_cfg);
 
     let recorded_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -46,35 +42,6 @@ fn main() {
     println!("  \"host_cpus\": {host_cpus},");
     println!("  \"scale_rows\": {},", scale.rows);
     println!("  \"requests_per_family\": {requests},");
-    println!("  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        println!(
-            "    {{\"label\": \"{}\", \"threads\": {}, \"requests\": {}, \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"hit_rate\": {:.4}, \
-             \"rows_total\": {}}}{comma}",
-            p.label,
-            p.threads,
-            p.requests,
-            p.qps,
-            p.p50_ms,
-            p.p95_ms,
-            p.p99_ms,
-            p.cache_hits,
-            p.cache_misses,
-            p.hit_rate,
-            p.rows_total
-        );
-    }
-    println!("  ],");
-
-    let open_cfg = OpenLoopConfig {
-        requests: requests.min(200),
-        ..OpenLoopConfig::default()
-    };
-    let open_threads = 4usize;
-    let open_points = run_open_loop_suite(scale, open_threads, &open_cfg);
     println!("  \"open_loop\": {{");
     println!(
         "    \"deadline_ms\": {}, \"max_retries\": {}, \"fail_rate\": {}, \

@@ -1,181 +1,24 @@
-//! The closed-loop serving harness: QPS + latency over the EC1–EC5 mixes.
+//! The open-loop serving harness behind `BENCH_serving.json`.
 //!
 //! Drives [`cnb_engine::PlanServer`] with each workload family's
-//! parameterized serving mix ([`Workload::serving_query`]): warm the plan
-//! cache with one cold request, then serve a closed loop of `requests`
-//! parameterized repeats on `threads` executor workers over the family's
-//! shared read-only database. Sustained throughput is requests over the
-//! measured wall-clock window; latency percentiles come from each
-//! request's engine-measured execution time (`ExecStats::elapsed`); the
-//! cache hit rate is the server's lifetime rate, so the one cold
-//! optimization per family shows up honestly in the denominator.
-//!
-//! Every served plan is checked against `cnb_analyze::validate_plan` in
-//! debug builds — a cached plan that fails semantic validation means the
-//! cache served a plan the static-analysis gate would reject, and the run
-//! aborts rather than timing it. `tests/serving_smoke.rs` asserts the same
-//! property unconditionally.
+//! parameterized serving mix ([`Workload::serving_query`]) under pressure:
+//! scheduled arrivals against a bounded backlog, per-request deadlines and
+//! seeded fault injection (see [`run_open_loop`]). Warm serving latency and
+//! throughput are measured end to end by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/README.md`), not here.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cnb_engine::{FaultPlan, PlanServer, ServeConfig, ServeError, WallClock};
 use cnb_workloads::{suite, DataScale, Workload};
 
-/// One measured serving run (a family at a thread count, or the pooled
-/// EC1–EC5 mix).
-#[derive(Clone, Debug)]
-pub struct ServingPoint {
-    /// Family name ("EC1" … "EC5") or `"mix"` for the pooled aggregate.
-    pub label: String,
-    /// Executor worker threads.
-    pub threads: usize,
-    /// Requests in the measured window (warmup excluded).
-    pub requests: usize,
-    /// Measured wall-clock of the window, seconds.
-    pub elapsed_secs: f64,
-    /// Sustained throughput: `requests / elapsed_secs`.
-    pub qps: f64,
-    /// Median per-request execution latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Plan-cache hits over the server's lifetime (includes warmup).
-    pub cache_hits: usize,
-    /// Plan-cache misses over the server's lifetime (the cold plant).
-    pub cache_misses: usize,
-    /// Lifetime hit rate.
-    pub hit_rate: f64,
-    /// Total rows served in the window (cross-check against zero-work runs).
-    pub rows_total: usize,
-}
-
 /// Nearest-rank percentile of an unsorted sample set (p in [0, 100]).
-pub fn percentile_ms(samples: &mut [f64], p: f64) -> f64 {
+fn percentile_ms(samples: &mut [f64], p: f64) -> f64 {
     assert!(!samples.is_empty(), "percentile of an empty sample set");
     samples.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
     samples[rank.clamp(1, samples.len()) - 1]
 }
-
-/// Serves `requests` parameterized repeats of `w`'s serving mix on
-/// `threads` workers and measures the window. Returns the point plus the
-/// raw per-request latency samples (milliseconds) so suite-level callers
-/// can pool them for mix percentiles.
-///
-/// The cache is warmed with pick 0 before the window opens, so the
-/// measured window is the steady "answer many" regime; the warmup's cold
-/// optimization still appears in the reported cache counters.
-pub fn run_family(
-    w: &dyn Workload,
-    scale: DataScale,
-    requests: usize,
-    threads: usize,
-) -> (ServingPoint, Vec<f64>) {
-    let db = w.generate_at(scale);
-    let strategy = w.expectations().strategy;
-    let mut server = PlanServer::new(w.optimizer(), crate::config(strategy));
-
-    // Warm: one cold request plants the family's template plans.
-    let (plan, _) = server
-        .serve(&db, &w.serving_query(scale, 0))
-        .unwrap_or_else(|e| panic!("{}: warmup request failed: {e}", w.name()));
-    assert!(
-        !plan.cache_hit,
-        "{}: warmup must be the cold miss",
-        w.name()
-    );
-    validate_served_plan(w, &plan.plan);
-
-    let mix: Vec<_> = (0..requests)
-        .map(|i| w.serving_query(scale, i as u64))
-        .collect();
-    let start = Instant::now();
-    let results = server.serve_batch(&db, &mix, threads);
-    let elapsed_secs = start.elapsed().as_secs_f64();
-
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(requests);
-    let mut rows_total = 0usize;
-    for r in results {
-        let (plan, exec) =
-            r.unwrap_or_else(|e| panic!("{}: serving request failed: {e}", w.name()));
-        assert!(plan.cache_hit, "{}: warmed mix must only hit", w.name());
-        validate_served_plan(w, &plan.plan);
-        latencies_ms.push(exec.stats.elapsed.as_secs_f64() * 1e3);
-        rows_total += exec.rows.len();
-    }
-
-    let point = ServingPoint {
-        label: w.name().to_string(),
-        threads,
-        requests,
-        elapsed_secs,
-        qps: requests as f64 / elapsed_secs.max(1e-12),
-        p50_ms: percentile_ms(&mut latencies_ms, 50.0),
-        p95_ms: percentile_ms(&mut latencies_ms, 95.0),
-        p99_ms: percentile_ms(&mut latencies_ms, 99.0),
-        cache_hits: server.cache().hits(),
-        cache_misses: server.cache().misses(),
-        hit_rate: server.cache().hit_rate(),
-        rows_total,
-    };
-    (point, latencies_ms)
-}
-
-/// Debug-mode guard: a served plan must pass the same semantic validation
-/// the `cnb-analyze` gate applies to backchase-emitted plans.
-fn validate_served_plan(w: &dyn Workload, plan: &cnb_ir::prelude::Query) {
-    if cfg!(debug_assertions) {
-        cnb_analyze::validate::validate_plan(&w.schema(), plan)
-            .unwrap_or_else(|e| panic!("{}: served plan fails validate_plan: {e}", w.name()));
-    }
-}
-
-/// Runs the whole EC1–EC5 suite at one thread count, returning the five
-/// family points plus a pooled `"mix"` aggregate: total requests over
-/// total measured time, percentiles over the *pooled* per-request latency
-/// samples of all families, and summed cache counters.
-pub fn run_suite(
-    scale: DataScale,
-    requests_per_family: usize,
-    threads: usize,
-) -> Vec<ServingPoint> {
-    let mut points: Vec<ServingPoint> = Vec::new();
-    let mut pooled: Vec<f64> = Vec::new();
-    for w in suite() {
-        let (point, latencies) = run_family(w.as_ref(), scale, requests_per_family, threads);
-        points.push(point);
-        pooled.extend(latencies);
-    }
-    let total_requests: usize = points.iter().map(|p| p.requests).sum();
-    let total_secs: f64 = points.iter().map(|p| p.elapsed_secs).sum();
-    let hits: usize = points.iter().map(|p| p.cache_hits).sum();
-    let misses: usize = points.iter().map(|p| p.cache_misses).sum();
-    points.push(ServingPoint {
-        label: "mix".to_string(),
-        threads,
-        requests: total_requests,
-        elapsed_secs: total_secs,
-        qps: total_requests as f64 / total_secs.max(1e-12),
-        p50_ms: percentile_ms(&mut pooled, 50.0),
-        p95_ms: percentile_ms(&mut pooled, 95.0),
-        p99_ms: percentile_ms(&mut pooled, 99.0),
-        cache_hits: hits,
-        cache_misses: misses,
-        hit_rate: if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
-        rows_total: points.iter().map(|p| p.rows_total).sum(),
-    });
-    points
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop load: scheduled arrivals against a bounded backlog.
-// ---------------------------------------------------------------------------
 
 /// Configuration for one open-loop sweep.
 #[derive(Clone, Debug)]

@@ -1,5 +1,5 @@
 //! End-to-end smoke of the serving path: cache semantics, executor-pool
-//! determinism, and the QPS harness itself.
+//! determinism, served-plan validity, and the open-loop harness.
 //!
 //! The properties here are the serving-path contract:
 //! * row sets are a pure function of the request mix — the executor pool's
@@ -10,11 +10,9 @@
 //!   the distinct rows over the whole pick domain reproduces the full
 //!   query's distinct result, so the cached template + bound parameter
 //!   really is the same query, not a lookalike;
-//! * the measurement harness (`run_suite`) itself runs green, which in a
-//!   debug build also pushes every served plan through
-//!   `cnb_analyze::validate_plan` (see `cnb_bench::serving`).
+//! * every served plan, cold and warm, passes `cnb_analyze::validate_plan`
+//!   — the check the `cnb-analyze` gate applies to emitted plans.
 
-use cnb_bench::serving::run_suite;
 use cnb_core::prelude::chase_and_backchase_runs;
 use cnb_engine::PlanServer;
 use cnb_workloads::{suite, DataScale, Workload};
@@ -164,29 +162,31 @@ fn point_picks_partition_the_central_query() {
     }
 }
 
-/// The QPS harness runs green at smoke scale and reports sane numbers; in
-/// a debug build this also validates every served plan against
-/// `cnb_analyze::validate_plan` (the harness panics on a finding).
+/// A served plan must pass the semantic validation the `cnb-analyze` gate
+/// applies to backchase-emitted plans: a cached plan that fails it means
+/// the cache served a plan the gate would reject. Checked for the cold
+/// miss that plants each family's templates and for the warm hits that
+/// bind them, in every build profile.
 #[test]
-fn harness_smoke_runs_and_validates_served_plans() {
+fn served_plans_pass_validate_plan_cold_and_warm() {
     let _quiet = shared();
-    let points = run_suite(DataScale::new(80, 7), 6, 2);
-    let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
-    assert_eq!(labels, ["EC1", "EC2", "EC3", "EC4", "EC5", "mix"]);
-    for p in &points {
-        assert!(p.qps > 0.0, "{}: qps must be positive", p.label);
-        assert!(
-            p.p50_ms <= p.p95_ms && p.p95_ms <= p.p99_ms,
-            "{}: percentiles must be monotone",
-            p.label
-        );
-        assert_eq!(p.cache_misses, if p.label == "mix" { 5 } else { 1 });
-        assert!(
-            p.hit_rate > 0.8,
-            "{}: warmed mix should be hit-dominated (got {})",
-            p.label,
-            p.hit_rate
-        );
+    let scale = DataScale::new(80, 7);
+    for w in suite() {
+        let db = w.generate_at(scale);
+        let schema = w.schema();
+        let mut server = server_for(w.as_ref());
+        for pick in 0..6u64 {
+            let (plan, _) = server
+                .serve(&db, &w.serving_query(scale, pick))
+                .unwrap_or_else(|e| panic!("{}: pick {pick} failed: {e}", w.name()));
+            assert_eq!(plan.cache_hit, pick > 0, "{}: pick {pick}", w.name());
+            cnb_analyze::validate::validate_plan(&schema, &plan.plan).unwrap_or_else(|e| {
+                panic!(
+                    "{}: served plan for pick {pick} fails validate_plan: {e}",
+                    w.name()
+                )
+            });
+        }
     }
 }
 

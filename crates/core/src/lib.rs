@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::canon::CanonDb;
     pub use crate::chase::{chase, chase_query, ChaseConfig, ChaseStats};
     pub use crate::congruence::{Congruence, Savepoint, TermId, TermNode};
-    pub use crate::cost::{wcoj_candidate, CostModel, PlanPricer, WcojAwarePricer};
+    pub use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, PlanPricer, WcojAwarePricer};
     pub use crate::equivalence::{same_plan, EquivChecker};
     pub use crate::fragments::{decompose, Fragment};
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

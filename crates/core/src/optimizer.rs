@@ -12,7 +12,7 @@ use cnb_ir::prelude::{Constraint, ExecStrategy, Query, Schema, Symbol, WcojAnaly
 use crate::backchase::{chase_and_backchase, BackchaseConfig};
 use crate::bottomup::bottom_up_backchase;
 use crate::chase::ChaseStats;
-use crate::cost::{wcoj_candidate, CostModel, WcojAwarePricer};
+use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
 use crate::strata::{regroup, stratify};
 
@@ -47,8 +47,6 @@ pub struct OptimizerConfig {
     /// OCS only: merge this many natural strata per pipeline stage (fig. 8's
     /// granularity sweep). `None` keeps the natural strata.
     pub stratum_group_size: Option<usize>,
-    /// Sort plans "best first" (more physical structures, then fewer loops).
-    pub sort_best_first: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -57,7 +55,6 @@ impl Default for OptimizerConfig {
             strategy: Strategy::Full,
             backchase: BackchaseConfig::default(),
             stratum_group_size: None,
-            sort_best_first: true,
         }
     }
 }
@@ -99,7 +96,7 @@ pub struct PlanInfo {
 /// The result of one optimization run.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizeResult {
-    /// Generated plans (deduplicated; best-first if requested).
+    /// Generated plans (deduplicated; best-first by [`heuristic_rank`]).
     pub plans: Vec<PlanInfo>,
     /// Size of the universal plan(s) — summed over fragments/stages.
     pub universal_arity: usize,
@@ -183,12 +180,9 @@ impl Optimizer {
         };
         self.emit_wcoj_twins(&mut result.plans);
         result.total_time = start.elapsed();
-        if cfg.sort_best_first {
-            let model = CostModel::default();
-            result
-                .plans
-                .sort_by_key(|p| model.heuristic_rank(&self.schema, &p.query));
-        }
+        result
+            .plans
+            .sort_by_key(|p| heuristic_rank(&self.schema, &p.query));
         result
     }
 
@@ -286,9 +280,7 @@ impl Optimizer {
             plan_price(model, a)
                 .total_cmp(&plan_price(model, b))
                 .then_with(|| {
-                    model
-                        .heuristic_rank(schema, &a.query)
-                        .cmp(&model.heuristic_rank(schema, &b.query))
+                    heuristic_rank(schema, &a.query).cmp(&heuristic_rank(schema, &b.query))
                 })
                 .then_with(|| a.query.canonical_key().cmp(&b.query.canonical_key()))
                 .then_with(|| {

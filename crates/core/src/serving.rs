@@ -44,39 +44,50 @@ pub struct ParameterizedQuery {
     pub params: Vec<Value>,
 }
 
+/// The serving path's one constant walk: applies the `PathExpr` method
+/// `$visit` with `$f` to every path a constant can sit in, in the fixed
+/// order placeholders are numbered by — from-clause range expressions,
+/// then where-clause equalities (lhs before rhs), then select paths. The
+/// optional trailing `mut` picks in-place access, so the rewrites
+/// ([`parameterize`], [`bind_params`]) and the read-only scan
+/// ([`unbound_param`], on every execution) share one order and the scan
+/// rebuilds nothing.
+macro_rules! walk_consts {
+    ($q:expr, $visit:ident, $f:expr $(, $m:tt)?) => {
+        for b in &$($m)? $q.from {
+            if let Range::Expr(p) = &$($m)? b.range {
+                p.$visit($f);
+            }
+        }
+        for eq in &$($m)? $q.where_ {
+            eq.lhs.$visit($f);
+            eq.rhs.$visit($f);
+        }
+        for (_, p) in &$($m)? $q.select {
+            p.$visit($f);
+        }
+    };
+}
+
 /// Splits `q` into a template and its parameter vector.
 ///
-/// Constants are lifted in one fixed traversal order — from-clause range
-/// expressions, then where-clause equalities (lhs before rhs), then select
-/// paths — so structurally identical queries always produce the same
-/// placeholder numbering and therefore the same [`Fingerprint`]. Each
-/// occurrence gets its own placeholder: collapsing repeated values would
-/// specialize the template to bindings that happen to repeat them.
-/// Placeholders already present pass through unchanged (re-parameterizing a
-/// template is the identity on it).
+/// Constants are lifted in the walk's fixed order (see `walk_consts!`), so
+/// structurally identical queries always produce the same placeholder
+/// numbering and therefore the same [`Fingerprint`]. Each occurrence gets
+/// its own placeholder: collapsing repeated values would specialize the
+/// template to bindings that happen to repeat them. Placeholders already
+/// present pass through unchanged (re-parameterizing a template is the
+/// identity on it).
 pub fn parameterize(q: &Query) -> ParameterizedQuery {
     let mut params: Vec<Value> = Vec::new();
-    let mut lift = |v: &Value| -> Value {
-        if let Value::Param(_) = v {
-            return v.clone();
+    let mut lift = |v: &mut Value| {
+        if !matches!(v, Value::Param(_)) {
+            let k = params.len() as u32;
+            params.push(std::mem::replace(v, Value::Param(k)));
         }
-        let k = params.len() as u32;
-        params.push(v.clone());
-        Value::Param(k)
     };
     let mut template = q.clone();
-    for b in &mut template.from {
-        if let Range::Expr(p) = &b.range {
-            b.range = Range::Expr(p.map_consts(&mut lift));
-        }
-    }
-    for eq in &mut template.where_ {
-        eq.lhs = eq.lhs.map_consts(&mut lift);
-        eq.rhs = eq.rhs.map_consts(&mut lift);
-    }
-    for (_, p) in &mut template.select {
-        *p = p.map_consts(&mut lift);
-    }
+    walk_consts!(template, map_consts, &mut lift, mut);
     ParameterizedQuery { template, params }
 }
 
@@ -85,28 +96,15 @@ pub fn parameterize(q: &Query) -> ParameterizedQuery {
 /// are left in place — execution rejects them, so a template/vector
 /// mismatch fails loudly rather than computing with a placeholder value.
 pub fn bind_params(template: &Query, params: &[Value]) -> Query {
-    let mut subst = |v: &Value| -> Value {
-        match v {
-            Value::Param(k) => match params.get(*k as usize) {
-                Some(actual) => actual.clone(),
-                None => Value::Param(*k),
-            },
-            other => other.clone(),
+    let mut subst = |v: &mut Value| {
+        if let Value::Param(k) = v {
+            if let Some(actual) = params.get(*k as usize) {
+                *v = actual.clone();
+            }
         }
     };
     let mut bound = template.clone();
-    for b in &mut bound.from {
-        if let Range::Expr(p) = &b.range {
-            b.range = Range::Expr(p.map_consts(&mut subst));
-        }
-    }
-    for eq in &mut bound.where_ {
-        eq.lhs = eq.lhs.map_consts(&mut subst);
-        eq.rhs = eq.rhs.map_consts(&mut subst);
-    }
-    for (_, p) in &mut bound.select {
-        *p = p.map_consts(&mut subst);
-    }
+    walk_consts!(bound, map_consts, &mut subst, mut);
     bound
 }
 
@@ -117,24 +115,12 @@ pub fn bind_params(template: &Query, params: &[Value]) -> Query {
 /// silently return wrong (usually empty) results.
 pub fn unbound_param(q: &Query) -> Option<u32> {
     let mut found: Option<u32> = None;
-    let mut scan = |v: &Value| -> Value {
+    let mut scan = |v: &Value| {
         if let Value::Param(k) = v {
             found.get_or_insert(*k);
         }
-        v.clone()
     };
-    for b in &q.from {
-        if let Range::Expr(p) = &b.range {
-            p.map_consts(&mut scan);
-        }
-    }
-    for eq in &q.where_ {
-        eq.lhs.map_consts(&mut scan);
-        eq.rhs.map_consts(&mut scan);
-    }
-    for (_, p) in &q.select {
-        p.map_consts(&mut scan);
-    }
+    walk_consts!(q, for_each_const, &mut scan);
     found
 }
 
@@ -204,8 +190,6 @@ pub struct CachedPlans {
     pub template: Query,
     /// Template plans, best-first.
     pub plans: Vec<Query>,
-    /// Subqueries explored deriving them (provenance for reporting).
-    pub explored: usize,
 }
 
 /// One resident cache entry plus its eviction-policy bookkeeping.
@@ -452,6 +436,40 @@ mod tests {
         assert_eq!(bind_params(&p.template, &p.params), q);
     }
 
+    /// Constants in every position the walk visits: a `Range::Expr` lookup
+    /// key, both sides of a where-equality, and a select path.
+    #[test]
+    fn constants_round_trip_through_every_walked_position() {
+        let m = |k: i64, field: &str| PathExpr::from(k).lookup_in("M").dot(field);
+        let mut q = Query::new();
+        q.bind("o", Range::Expr(m(10, "N")));
+        q.equate(m(20, "K"), PathExpr::from(30i64));
+        q.output("X", m(40, "A"));
+
+        let p = parameterize(&q);
+        let ints = [10, 20, 30, 40].map(Value::Int);
+        assert_eq!(p.params, ints, "lifted in walk order");
+        let param = |k: i64| PathExpr::Const(Value::Param(k as u32));
+        let pm = |k: i64, field: &str| param(k).lookup_in("M").dot(field);
+        assert_eq!(p.template.from[0].range, Range::Expr(pm(0, "N")));
+        assert_eq!(p.template.where_[0].lhs, pm(1, "K"));
+        assert_eq!(p.template.where_[0].rhs, param(2));
+        assert_eq!(p.template.select[0].1, pm(3, "A"));
+
+        let bound = bind_params(&p.template, &p.params);
+        assert_eq!(bound, q);
+        assert_eq!(bound.to_string(), q.to_string());
+        assert_eq!(unbound_param(&bound), None);
+
+        // Binding `?k` to itself leaves exactly that position unbound.
+        for k in 0..ints.len() {
+            let mut partial = p.params.clone();
+            partial[k] = Value::Param(k as u32);
+            let left = bind_params(&p.template, &partial);
+            assert_eq!(unbound_param(&left), Some(k as u32), "position {k}");
+        }
+    }
+
     #[test]
     fn parameterize_is_idempotent_on_templates() {
         let p = parameterize(&point_query("R", 42));
@@ -535,7 +553,6 @@ mod tests {
             CachedPlans {
                 template: p.template.clone(),
                 plans: vec![p.template.clone()],
-                explored: 1,
             },
         );
         assert!(cache.lookup(&fp, &p.template).is_some());
@@ -552,7 +569,6 @@ mod tests {
         let entry = CachedPlans {
             template: p.template.clone(),
             plans: vec![p.template],
-            explored: 0,
         };
         (fp, entry)
     }

@@ -114,11 +114,6 @@ impl FaultPlan {
         self
     }
 
-    /// The seed (for reporting).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The fault injected into `request`'s `attempt`, if any. Pure: same
     /// arguments, same verdict, on any thread, forever.
     pub fn fault_for(&self, request: usize, attempt: usize) -> Option<Fault> {

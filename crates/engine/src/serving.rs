@@ -199,7 +199,6 @@ impl PlanServer {
             CachedPlans {
                 template: parameterized.template,
                 plans,
-                explored: result.explored,
             },
         );
         ServedPlan {

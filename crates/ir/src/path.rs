@@ -113,23 +113,29 @@ impl PathExpr {
         }
     }
 
-    /// Rewrites every constant through `f`, leaving the shape intact — the
-    /// dual of [`PathExpr::map_vars`]. The serving path uses this twice:
-    /// lifting constants into [`Value::Param`] placeholders when a query is
-    /// templated, and substituting the actual values back into a cached
-    /// plan at bind time.
-    pub fn map_consts(&self, f: &mut impl FnMut(&Value) -> Value) -> PathExpr {
+    /// Rewrites every constant through `f` in place, leaving the shape
+    /// intact — the dual of [`PathExpr::map_vars`]. The serving path uses
+    /// it to lift constants into [`Value::Param`] placeholders when a query
+    /// is templated, and to bind the actual values back into a cached plan.
+    pub fn map_consts(&mut self, f: &mut impl FnMut(&mut Value)) {
         match self {
-            PathExpr::Var(v) => PathExpr::Var(*v),
-            PathExpr::Const(c) => PathExpr::Const(f(c)),
-            PathExpr::Field(base, field) => PathExpr::Field(Box::new(base.map_consts(f)), *field),
-            PathExpr::Lookup(dict, key) => PathExpr::Lookup(*dict, Box::new(key.map_consts(f))),
-            PathExpr::MkStruct(fields) => PathExpr::MkStruct(
-                fields
-                    .iter()
-                    .map(|(name, p)| (*name, p.map_consts(f)))
-                    .collect(),
-            ),
+            PathExpr::Var(_) => {}
+            PathExpr::Const(c) => f(c),
+            PathExpr::Field(base, _) => base.map_consts(f),
+            PathExpr::Lookup(_, key) => key.map_consts(f),
+            PathExpr::MkStruct(fields) => fields.iter_mut().for_each(|(_, p)| p.map_consts(f)),
+        }
+    }
+
+    /// Calls `f` on every constant in [`PathExpr::map_consts`]'s order,
+    /// reading the path without rebuilding it.
+    pub fn for_each_const(&self, f: &mut impl FnMut(&Value)) {
+        match self {
+            PathExpr::Var(_) => {}
+            PathExpr::Const(c) => f(c),
+            PathExpr::Field(base, _) => base.for_each_const(f),
+            PathExpr::Lookup(_, key) => key.for_each_const(f),
+            PathExpr::MkStruct(fields) => fields.iter().for_each(|(_, p)| p.for_each_const(f)),
         }
     }
 
@@ -266,10 +272,15 @@ mod tests {
             (sym("A"), PathExpr::from(Var(1)).dot("A")),
             (sym("B"), PathExpr::from(Value::Param(0)).dot("F")),
         ]);
-        let q = p.map_consts(&mut |c| match c {
-            Value::Param(0) => Value::Int(42),
-            other => other.clone(),
+        let mut q = p.clone();
+        q.map_consts(&mut |c| {
+            if *c == Value::Param(0) {
+                *c = Value::Int(42);
+            }
         });
+        let mut seen = Vec::new();
+        p.for_each_const(&mut |c| seen.push(c.clone()));
+        assert_eq!(seen, vec![Value::Param(0)]);
         assert_eq!(
             q,
             PathExpr::MkStruct(vec![

@@ -9,13 +9,13 @@
 #   sections: micro.congruence (savepoint churn) and micro.execution
 #   (batched vs. tuple-at-a-time join throughput on the EC1 chain — the
 #   batched path must not be slower).
-# * BENCH_serving.json — the serving path: closed-loop QPS and p50/p95/p99
-#   per-request latency for each EC1–EC5 parameterized serving mix plus the
-#   pooled mix, at 1/2/4 executor threads, with plan-cache hit rates; plus
-#   an open_loop section — scheduled arrivals at 0.5/0.9/1.2x measured
+# * BENCH_serving.json — the serving path under pressure, open loop only:
+#   per EC1–EC5 serving mix, scheduled arrivals at 0.5/0.9/1.2x measured
 #   capacity against a bounded backlog with deadlines and seeded fault
 #   injection, reporting served/shed/expired/faulted/retry counts and
-#   p50/p95/p99 sojourn per offered load.
+#   p50/p95/p99 sojourn per offered load. Warm serving latency and
+#   throughput, end to end, are the repo benchmark's (BENCHMARK.json,
+#   benchmark/README.md), not this script's.
 # Fully offline; ~a minute of measurement on a laptop-class core.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,15 +41,20 @@ fi
 
 # Recording with a stale binary silently benchmarks old code; fail loudly if
 # the build somehow left a binary missing or older than any library/binary
-# source it is built from (benches/ and tests/ are not in its build graph,
-# so cargo legitimately skips relinking when only those change).
+# source it is built from: its own file under crates/bench/src/bin, the
+# cnb-bench library and the four library crates it links. The other
+# binary's source, benches/, tests/ and crates/analyze (a dev-dependency of
+# the serving smoke test) are not in its build graph, so cargo legitimately
+# skips relinking when only those change.
 for name in record_backchase record_serving; do
   bin=target/release/$name
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin missing after the release build — refusing to record" >&2
     exit 1
   fi
-  stale=$(find crates/*/src src -name '*.rs' -newer "$bin" -print -quit)
+  stale=$(find crates/{ir,core,engine,workloads,bench}/src \
+    -path 'crates/bench/src/bin/*' ! -name "$name.rs" -prune \
+    -o -name '*.rs' -newer "$bin" -print -quit)
   if [[ -n "$stale" ]]; then
     echo "error: release build is stale ($stale is newer than $bin) — refusing to record" >&2
     exit 1

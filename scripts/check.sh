@@ -36,6 +36,14 @@ cargo clippy --all-targets -- -D warnings
 tier "cargo build --release"
 cargo build --release
 
+# Benchmark build tier: the repo benchmark (benchmark/, its own Cargo
+# workspace) drives only public API — serve_batch, execute_legacy, cache(),
+# PlanInfo, … — so it is built here with BENCHMARK.json's own command
+# prefix. A change to that API then fails this gate rather than the
+# benchmark run.
+tier "benchmark build (cargo build --release --offline --manifest-path benchmark/Cargo.toml)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 # Static-analysis tier: every prong of cnb-analyze in one pass — the
 # interprocedural determinism taint analysis over the workspace call graph
 # (denied std hash maps, RandomState, wall-clock, thread-identity and env
@@ -90,16 +98,16 @@ done
 # worker pool. The smoke suite pins the serving contract — row sets
 # identical at 1/2/4/8 executor threads, warm hits answering without chase
 # & backchase (audited by counter), point picks partitioning the central
-# query, every served plan passing validate_plan — and the byte-identity
-# property checks warm-cache plans against cold-path plans. Both run in the
-# sequential and parallel backchase tiers; a tiny closed-loop QPS window
-# then exercises the recording binary end to end.
+# query, every served plan (cold and warm) passing validate_plan — and the
+# byte-identity property checks warm-cache plans against cold-path plans.
+# Both run in the sequential and parallel backchase tiers; a tiny open-loop
+# sweep then exercises the recording binary end to end.
 for t in 1 4; do
   tier "CNB_THREADS=$t serving smoke (plan cache + executor pool)"
   CNB_THREADS=$t cargo test -q -p cnb-bench --test serving_smoke
   CNB_THREADS=$t cargo test -q --test property_based -- cache_hits_serve_byte_identical_plans
 done
-tier "serving QPS smoke (record_serving, tiny window)"
+tier "serving open-loop smoke (record_serving, tiny sweep)"
 CNB_SERVING_REQUESTS=8 CNB_ROWS=80 cargo run --release -q --bin record_serving >/dev/null
 
 # Pressure tier: the serving robustness layer. Admission control, deadlines
